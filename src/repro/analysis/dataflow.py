@@ -20,6 +20,11 @@ Design constraints (deterministic, fast, no false-positive bias):
   once, at the depth of its first demand; the engine's fixed traversal
   order (sorted files, fixed rule order) makes the cache contents —
   and therefore the findings — bit-identical across runs.
+- **One walk per subtree.** Function bodies are visited through
+  :meth:`Scope.nodes`, which serves the file's run-scoped walk memo
+  (:meth:`~repro.analysis.engine.FileContext.nodes`), so a summary, the
+  rule-side facts, and the call graph share one walk and one filtered
+  node list of each function.
 
 Rules access everything through one :class:`ProjectContext`, which the
 engine builds per run and hands to rules that set ``uses_project``.
@@ -31,8 +36,9 @@ import ast
 import dataclasses
 from typing import Iterator, Mapping, Sequence
 
-from repro.analysis.engine import FileContext
+from repro.analysis.engine import FileContext, walk_nodes
 from repro.analysis.project import (
+    FLOW_NODES,
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
@@ -113,6 +119,19 @@ class Scope:
         if self.module is None:
             return None
         return self.index.canonical_name(self.module, node, self.local_types)
+
+    def walk(self, node: ast.AST) -> list[ast.AST]:
+        """:func:`ast.walk` of a subtree of this scope's file, memoized
+        for the run when the file is indexed."""
+        if self.module is None:
+            return walk_nodes(node)
+        return self.module.ctx.walk(node)
+
+    def nodes(self, root: ast.AST, *types: type) -> list[ast.AST]:
+        """:meth:`walk` of ``root`` filtered to ``types``."""
+        if self.module is None:
+            return [n for n in walk_nodes(root) if isinstance(n, types)]
+        return self.module.ctx.nodes(*types, root=root)
 
 
 _EMPTY_SCOPE = Scope(index=None, module=None, owner=None, local_types={})  # type: ignore[arg-type]
@@ -201,7 +220,7 @@ def collect_stream_facts(
     callees (sync-on-behalf, async-use-on-behalf, fresh-stream return)
     are folded in."""
     facts = StreamFacts()
-    for node in ast.walk(fn):
+    for node in scope.nodes(fn, *FLOW_NODES):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             call = node.value
             fresh = _tail_name(call.func) == "Stream"
@@ -243,7 +262,7 @@ def collect_stream_facts(
                 _, cs = analysis.summary_of_call(scope, node.value, depth)
                 if cs is not None and cs.returns_fresh:
                     facts.returns_fresh = True
-            for sub in ast.walk(node.value):
+            for sub in scope.walk(node.value):
                 if isinstance(sub, ast.Name):
                     facts.returned.add(sub.id)
                     facts.escaped.add(sub.id)
@@ -330,7 +349,7 @@ def collect_charge_facts(
 ) -> ChargeFacts:
     facts = ChargeFacts()
     params = set(params)
-    for node in ast.walk(fn):
+    for node in scope.nodes(fn, *FLOW_NODES):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             if _tail_name(node.value.func) in RESOLVER_NAMES:
                 for tgt in node.targets:
@@ -431,13 +450,13 @@ def collect_pool_facts(
         return None
 
     returned_calls: set[int] = set()
-    for node in ast.walk(fn):
+    for node in scope.nodes(fn, *FLOW_NODES):
         if isinstance(node, ast.Return) and node.value is not None:
             if isinstance(node.value, ast.Call):
                 returned_calls.add(id(node.value))
                 if callee_pool_origin(node.value) is not None:
                     facts.returns_unreleased_inline = True
-            for sub in ast.walk(node.value):
+            for sub in scope.walk(node.value):
                 if isinstance(sub, ast.Name):
                     facts.returned.add(sub.id)
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
@@ -563,7 +582,7 @@ class DecisionPaths:
                 continue
             owner = mod.classes.get(fi.owner) if fi.owner else None
             local = self.index.local_class_types(fi)
-            for node in ast.walk(fi.node):
+            for node in mod.ctx.nodes(*FLOW_NODES, root=fi.node):
                 if not isinstance(node, ast.Call):
                     continue
                 canon = self.index.canonical_name(mod, node.func, local)
@@ -630,6 +649,5 @@ class ProjectContext:
         self, ctx: FileContext
     ) -> Iterator[tuple[ast.AST, FunctionInfo | None]]:
         """Every function node in the file, with its index entry."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node, self.index.function_at(node)
+        for node in ctx.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
+            yield node, self.index.function_at(node)

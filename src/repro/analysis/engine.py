@@ -6,14 +6,20 @@ discovery, parsing, per-line ``# lint: disable=HLxxx`` suppressions,
 and stable ordering of results.
 
 The engine runs in **two passes**.  Pass one discovers and parses every
-file (in parallel — parsing is embarrassingly independent — with the
-results re-ordered so the outcome is deterministic).  Pass two
-evaluates the rules.  Rules that set :attr:`Rule.uses_project` receive
-a :class:`repro.analysis.dataflow.ProjectContext` on their
-:attr:`Rule.project` attribute before pass two: a whole-tree module
-index, call graph, and interprocedural data-flow summaries, letting
-them reason across function and file boundaries.  Single-file rules
-are unaffected.
+file serially, in discovery order.  Pass two evaluates the rules.  When
+any rule sets :attr:`Rule.uses_project`, the engine builds one
+:class:`repro.analysis.dataflow.ProjectContext` for the run — a
+whole-tree module index, call graph, and interprocedural data-flow
+summaries — and hands it to the rules on :attr:`FileContext.project`
+of every file in the run, letting them reason across function and file
+boundaries.  Rule instances carry no per-run state.
+
+Rules, the project index, and the data-flow layer visit nodes through
+:meth:`FileContext.walk`, a memoized :func:`ast.walk`, and
+:meth:`FileContext.nodes`, its per-type filter: each subtree is walked
+once per run and later requests get the same node list, in the same
+breadth-first order.  The engine drops the memo and the project when
+the run ends.
 
 Suppression syntax (same line as the finding)::
 
@@ -34,13 +40,10 @@ so static reports, runtime reports, and exceptions line up.
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import dataclasses
 import enum
 import io
-import os
 import re
-import threading
 import tokenize
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -54,6 +57,7 @@ __all__ = [
     "iter_python_files",
     "parse_file",
     "parse_files",
+    "walk_nodes",
     "lint_file",
     "run_rules",
     "run_rules_detailed",
@@ -150,6 +154,24 @@ def parse_suppressions(source: str) -> dict[int, set[str]]:
     return out
 
 
+def walk_nodes(
+    node: ast.AST, memo: dict[int, list[ast.AST]] | None = None
+) -> list[ast.AST]:
+    """``list(ast.walk(node))``, computed once per node when ``memo`` is
+    given.
+
+    The memo is keyed by ``id(node)``; each cached list starts with the
+    node itself, so a live entry keeps its key's node alive and the id
+    cannot be reused while the entry exists.
+    """
+    nodes = memo.get(id(node)) if memo is not None else None
+    if nodes is None:
+        nodes = list(ast.walk(node))
+        if memo is not None:
+            memo[id(node)] = nodes
+    return nodes
+
+
 class FileContext:
     """Everything a rule needs to know about one source file."""
 
@@ -160,6 +182,37 @@ class FileContext:
         self.source = source
         self.tree = tree
         self.suppressions = parse_suppressions(source)
+        #: The run's ProjectContext while the engine checks this file.
+        self.project = None  # type: object | None
+        self._walks: dict[int, list[ast.AST]] = {}
+        # Keyed by (id(root), types); _walks keeps each root alive.
+        self._by_type: dict[tuple, list[ast.AST]] = {}
+
+    def walk(self, node: ast.AST | None = None) -> list[ast.AST]:
+        """Every node under ``node`` (default: the module) in
+        :func:`ast.walk` order, walked once and then served from the
+        memo.  Callers must not mutate the returned list."""
+        return walk_nodes(self.tree if node is None else node, self._walks)
+
+    def nodes(
+        self, *types: type, root: ast.AST | None = None
+    ) -> list[ast.AST]:
+        """The nodes of the given types under ``root`` (default: the
+        module), in :meth:`walk` order, filtered once per run."""
+        nodes = self.walk(root)
+        key = (id(nodes[0]), types)
+        found = self._by_type.get(key)
+        if found is None:
+            found = self._by_type[key] = [
+                n for n in nodes if isinstance(n, types)
+            ]
+        return found
+
+    def end_run(self) -> None:
+        """Drop the run-scoped state: the project and the walk memo."""
+        self.project = None
+        self._walks = {}
+        self._by_type = {}
 
     def in_module(self, *suffixes: str) -> bool:
         """True if this file is one of the given path suffixes."""
@@ -182,7 +235,8 @@ class Rule:
     A rule that needs cross-function/cross-file context sets
     :attr:`uses_project` to True; the engine then builds one
     :class:`~repro.analysis.dataflow.ProjectContext` over every linted
-    file and assigns it to :attr:`project` before :meth:`check` runs.
+    file and sets it on :attr:`FileContext.project` of each file before
+    :meth:`check` runs.
     """
 
     id: str = "HL000"
@@ -193,8 +247,6 @@ class Rule:
     #: Opt-in flag: the engine hands project-aware rules a shared
     #: ProjectContext (module index + data-flow summaries).
     uses_project: bool = False
-    #: Set by the engine before check() when uses_project is True.
-    project = None  # type: object | None
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -254,13 +306,6 @@ def _error_finding(path: Path, line: int, col: int, message: str,
     )
 
 
-#: ast.parse is not thread-safe on CPython 3.11 (concurrent calls can
-#: die with "SystemError: AST constructor recursion depth mismatch"),
-#: and the GIL serializes the CPU-bound parse regardless — the worker
-#: threads only overlap file I/O and tokenization.
-_AST_PARSE_LOCK = threading.Lock()
-
-
 def parse_file(path: Path | str) -> FileContext | Finding:
     """Parse one file; a structured HL000 finding instead of a crash
     when the file is not UTF-8 or not valid Python."""
@@ -276,8 +321,7 @@ def parse_file(path: Path | str) -> FileContext | Finding:
     except OSError as exc:
         return _error_finding(path, 0, 0, f"could not read: {exc}", "io")
     try:
-        with _AST_PARSE_LOCK:
-            tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         return _error_finding(
             path, exc.lineno or 0, exc.offset or 0,
@@ -286,27 +330,14 @@ def parse_file(path: Path | str) -> FileContext | Finding:
     return FileContext(path, source, tree)
 
 
-def _default_jobs() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def parse_files(
     paths: Iterable[Path | str],
-    jobs: int | None = None,
 ) -> tuple[list[FileContext], list[Finding]]:
-    """Pass one: parse every file under ``paths`` in parallel.
+    """Pass one: parse every file under ``paths``, in discovery order.
 
-    Returns ``(contexts, error_findings)``.  The thread pool only
-    accelerates I/O and tokenization; results are re-assembled in
-    discovery order so the outcome is bit-identical to a serial run.
+    Returns ``(contexts, error_findings)``.
     """
-    files = list(iter_python_files(paths))
-    jobs = jobs if jobs and jobs > 0 else _default_jobs()
-    if len(files) <= 1 or jobs == 1:
-        results = [parse_file(f) for f in files]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(parse_file, files))
+    results = [parse_file(f) for f in iter_python_files(paths)]
     contexts = [r for r in results if isinstance(r, FileContext)]
     errors = [r for r in results if isinstance(r, Finding)]
     return contexts, errors
@@ -331,22 +362,24 @@ def _check_contexts(
     contexts: Sequence[FileContext],
     rules: Sequence[Rule],
 ) -> list[FileResult]:
-    project = None
-    if any(r.uses_project for r in rules):
-        project = _build_project(contexts)
-    for rule in rules:
-        if rule.uses_project:
-            rule.project = project
     out: list[FileResult] = []
-    for ctx in contexts:
-        kept: list[Finding] = []
-        raw: list[Finding] = []
-        for rule in rules:
-            for f in rule.check(ctx):
-                raw.append(f)
-                if not ctx.is_suppressed(f.line, f.rule):
-                    kept.append(f)
-        out.append(FileResult(ctx=ctx, findings=kept, raw=raw))
+    try:
+        if any(r.uses_project for r in rules):
+            project = _build_project(contexts)
+            for ctx in contexts:
+                ctx.project = project
+        for ctx in contexts:
+            kept: list[Finding] = []
+            raw: list[Finding] = []
+            for rule in rules:
+                for f in rule.check(ctx):
+                    raw.append(f)
+                    if not ctx.is_suppressed(f.line, f.rule):
+                        kept.append(f)
+            out.append(FileResult(ctx=ctx, findings=kept, raw=raw))
+    finally:
+        for ctx in contexts:
+            ctx.end_run()
     return out
 
 
@@ -367,7 +400,6 @@ def lint_file(path: Path | str, rules: Iterable[Rule]) -> list[Finding]:
 def run_rules_detailed(
     paths: Iterable[Path | str],
     rules: Iterable[Rule],
-    jobs: int | None = None,
 ) -> tuple[list[FileResult], list[Finding]]:
     """Two-pass lint returning per-file raw/kept findings.
 
@@ -376,17 +408,16 @@ def run_rules_detailed(
     actually silenced.
     """
     rules = list(rules)
-    contexts, errors = parse_files(paths, jobs=jobs)
+    contexts, errors = parse_files(paths)
     return _check_contexts(contexts, rules), errors
 
 
 def run_rules(
     paths: Iterable[Path | str],
     rules: Iterable[Rule],
-    jobs: int | None = None,
 ) -> list[Finding]:
     """Lint every python file under ``paths``; stable ordering."""
-    results, errors = run_rules_detailed(paths, rules, jobs=jobs)
+    results, errors = run_rules_detailed(paths, rules)
     findings = list(errors)
     for r in results:
         findings.extend(r.findings)

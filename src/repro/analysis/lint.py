@@ -68,7 +68,6 @@ def lint_paths(
     rules: Sequence[Rule] | None = None,
     select: Iterable[str] | None = None,
     check_suppressions: bool = False,
-    jobs: int | None = None,
 ) -> list[Finding]:
     """Lint every python file under ``paths`` with the built-in rules.
 
@@ -79,8 +78,8 @@ def lint_paths(
     active = _select_rules(rules, select)
     paths = _check_paths(paths)
     if not check_suppressions:
-        return run_rules(paths, active, jobs=jobs)
-    results, errors = run_rules_detailed(paths, active, jobs=jobs)
+        return run_rules(paths, active)
+    results, errors = run_rules_detailed(paths, active)
     findings = list(errors)
     for r in results:
         findings.extend(r.findings)
@@ -136,7 +135,6 @@ def _audit_file(ctx, raw: Sequence[Finding], rules: Sequence[Rule]) -> list[Find
 def audit_suppressions(
     paths: Iterable[Path | str],
     rules: Sequence[Rule] | None = None,
-    jobs: int | None = None,
 ) -> list[Finding]:
     """Audit ``# lint: disable=`` comments under ``paths``.
 
@@ -145,7 +143,7 @@ def audit_suppressions(
     """
     active = _select_rules(rules, None)
     paths = _check_paths(paths)
-    results, _errors = run_rules_detailed(paths, active, jobs=jobs)
+    results, _errors = run_rules_detailed(paths, active)
     findings: list[Finding] = []
     for r in results:
         findings.extend(_audit_file(r.ctx, r.raw, active))
@@ -184,12 +182,6 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
         help="also report '# lint: disable=' comments that no longer "
              "suppress anything (unused or unknown rule ids)",
     )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel parse workers (default: auto)",
-    )
 
 
 def render(findings: Sequence[Finding], fmt: str) -> str:
@@ -200,19 +192,23 @@ def render(findings: Sequence[Finding], fmt: str) -> str:
     return format_text(findings)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the linter; exit 0 on a clean tree, 1 otherwise."""
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Lint with parsed :func:`add_lint_arguments` options; exit 0 on a
+    clean tree, 1 on findings, 2 on a usage error."""
     select = args.select.split(",") if args.select else None
     try:
         findings = lint_paths(
             args.paths,
             select=select,
             check_suppressions=args.check_suppressions,
-            jobs=args.jobs,
         )
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro lint: error: {exc}")
         return 2
     print(render(findings, args.format))
     return 1 if findings else 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run the linter; exit 0 on a clean tree, 1 otherwise."""
+    return run(build_parser().parse_args(argv))

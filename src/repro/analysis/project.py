@@ -42,7 +42,14 @@ __all__ = [
     "ProjectIndex",
     "module_name_for",
     "dotted_name",
+    "FLOW_NODES",
 ]
+
+#: Node types the per-function passes read (summaries, call graph,
+#: local class types, HL007).  They share one filtered list of each
+#: function body, so the list holds the union and each pass still
+#: checks the types it needs.
+FLOW_NODES = (ast.Assign, ast.Call, ast.Expr, ast.Return)
 
 
 def module_name_for(path: Path) -> str:
@@ -132,7 +139,7 @@ class ModuleInfo:
         self._index()
 
     def _index(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.ctx.nodes(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -379,7 +386,7 @@ class ProjectIndex:
                     ci = self.resolve_class(mod, p.annotation)
                     if ci is not None:
                         out.setdefault(p.arg, ci)
-            for node in ast.walk(fi.node):
+            for node in mod.ctx.nodes(*FLOW_NODES, root=fi.node):
                 if not (isinstance(node, ast.Assign)
                         and isinstance(node.value, ast.Call)):
                     continue
@@ -432,7 +439,7 @@ class ProjectIndex:
                 owner = mod.classes.get(fi.owner) if fi.owner else None
                 local = self.local_class_types(fi)
                 callees: set[str] = set()
-                for node in ast.walk(fi.node):
+                for node in mod.ctx.nodes(*FLOW_NODES, root=fi.node):
                     if isinstance(node, ast.Call):
                         r = self.resolve_call(mod, node, local, owner)
                         if r is not None:

@@ -21,6 +21,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.engine import FileContext, Finding, Rule, Severity
+from repro.analysis.project import FLOW_NODES
 from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
 
 __all__ = [
@@ -111,9 +112,7 @@ class RawDataAccessRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_module(*self.allowed):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
+        for node in ctx.nodes(ast.Attribute):
             if node.attr not in ("data", "_data"):
                 continue
             if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
@@ -148,9 +147,7 @@ class AllocatorMismatchRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             kws = _keywords(node)
             alloc = _enum_member(kws.get("allocator"), "Allocator", Allocator)
             if alloc is None:
@@ -196,18 +193,19 @@ class AllocatorMismatchRule(Rule):
 class ProjectRule(Rule):
     """Base for rules that reason across function and file boundaries.
 
-    The engine hands these a shared
+    The engine hands these the run's shared
     :class:`~repro.analysis.dataflow.ProjectContext` (module index,
-    call graph, data-flow summaries).  Used standalone — outside the
-    engine — they degrade gracefully to a single-file project, keeping
-    cross-function reasoning within the file.
+    call graph, data-flow summaries) on :attr:`FileContext.project`.
+    Used standalone — outside the engine — they degrade gracefully to a
+    single-file project, keeping cross-function reasoning within the
+    file.
     """
 
     uses_project = True
 
     def project_for(self, ctx: FileContext):
-        if self.project is not None:
-            return self.project
+        if ctx.project is not None:
+            return ctx.project
         from repro.analysis.dataflow import ProjectContext
 
         return ProjectContext.build([ctx])
@@ -290,9 +288,7 @@ class UnownedWrapRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             if not isinstance(node.func, ast.Attribute):
                 continue
             attr = node.func.attr
@@ -341,9 +337,7 @@ class ThreadOutsideRunnerRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_module(*self.allowed):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             func = node.func
             is_thread = (
                 isinstance(func, ast.Attribute)
@@ -395,9 +389,7 @@ class SwallowedErrorRule(Rule):
         return True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in ctx.nodes(ast.ExceptHandler):
             if node.type is None:
                 yield self.finding(
                     ctx, node, "bare 'except:' hides substrate errors"
@@ -449,12 +441,14 @@ class PoolLeakRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_module(*self.allowed):
             return
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for fn in ctx.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
             pool_names: set[str] = set()
             escaped: set[str] = set()
-            for node in ast.walk(fn):
+            # Receivers are checked after the walk, once every
+            # pool_for binding in the function is known.
+            acquires: list[ast.Call] = []
+            discharged = False
+            for node in ctx.nodes(*FLOW_NODES, root=fn):
                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                     if _attr_name(node.value.func) == "pool_for":
                         for tgt in node.targets:
@@ -463,29 +457,25 @@ class PoolLeakRule(Rule):
                             elif isinstance(tgt, ast.Attribute):
                                 escaped.add("")  # stored: escapes
                 if isinstance(node, ast.Return) and node.value is not None:
-                    for sub in ast.walk(node.value):
+                    for sub in ctx.walk(node.value):
                         if isinstance(sub, ast.Name):
                             escaped.add(sub.id)
                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
                     for tgt in node.targets:
                         if isinstance(tgt, ast.Attribute):
                             escaped.add(node.value.id)
-            acquires: list[ast.Call] = []
-            discharged = False
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not isinstance(node.func, ast.Attribute):
-                    continue
-                attr = node.func.attr
-                recv = node.func.value
-                if attr == "acquire" and self._is_pool_receiver(recv, pool_names):
-                    acquires.append(node)
-                elif attr in ("release", "trim"):
-                    discharged = True
+                if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute
+                ):
+                    if node.func.attr == "acquire":
+                        acquires.append(node)
+                    elif node.func.attr in ("release", "trim"):
+                        discharged = True
             if discharged:
                 continue
             for call in acquires:
+                if not self._is_pool_receiver(call.func.value, pool_names):
+                    continue
                 recv_name = _attr_name(call.func.value)
                 if recv_name in escaped:
                     continue
@@ -733,6 +723,10 @@ class NondeterministicDecisionRule(ProjectRule):
         "datetime.datetime.today", "datetime.date.today",
     })
 
+    #: Calls, loops and comprehensions: the nodes _nondet_sites reads.
+    _site_types = (ast.Call, ast.For, ast.AsyncFor, ast.ListComp,
+                   ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         proj = self.project_for(ctx)
         if proj.index.module_for(ctx) is None:
@@ -760,7 +754,7 @@ class NondeterministicDecisionRule(ProjectRule):
                 )
 
     def _nondet_sites(self, fn, scope):
-        for node in ast.walk(fn):
+        for node in scope.nodes(fn, *self._site_types):
             if isinstance(node, ast.Call):
                 canon = scope.canonical(node.func)
                 if canon in self._wallclock:

@@ -51,8 +51,15 @@ def _regenerated(event: dict) -> bool:
     if event["kind"] == "obs":
         return event.get("origin", "transport") == "transport"
     if event["kind"] == "decision":
-        return event["governor"] in _REPLAYED_GOVERNORS
+        return _field(event, "governor", _text) in _REPLAYED_GOVERNORS
     return False
+
+
+def _text(value) -> str:
+    """A field that must already be a string (no coercion)."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 class SinkAnalysis(AnalysisAdaptor):
@@ -182,7 +189,14 @@ def replay_trace(trace, registry=None) -> ReplayResult:
                 bridge.inject(op[1])
         return sim_comm.rank
 
-    recorder = TraceRecorder(trace.name, meta=dict(header.get("meta", {})))
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TraceFormatError(
+            "trace header has a bad meta: expected an object, got "
+            f"{type(meta).__name__}",
+            details={"section": "meta"},
+        )
+    recorder = TraceRecorder(trace.name, meta=dict(meta))
     recorder.describe(config, m, n, cost=cost, control=control)
     from repro.service.runtime import run_service
 

@@ -1,19 +1,27 @@
 """Edge cases of the two-pass rule engine: parse errors, discovery
-pruning, suppression parsing, and deterministic parallel parsing."""
+pruning, suppression parsing, the serial parse pass, and the run-scoped
+state (project, walk memo) rules see."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 from repro.analysis.engine import (
     Finding,
+    Rule,
     Severity,
     iter_python_files,
     parse_file,
     parse_files,
     parse_suppressions,
     run_rules,
+    run_rules_detailed,
 )
 from repro.analysis.lint import lint_paths
-from repro.analysis.rules import default_rules
+from repro.analysis.rules import NondeterministicDecisionRule, default_rules
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestParseErrors:
@@ -95,12 +103,102 @@ class TestSuppressionParsing:
         assert parse_suppressions(source) == {1: {"HL001", "HL005"}}
 
 
-class TestParallelParsing:
-    def test_parse_files_is_deterministic_across_job_counts(self, tmp_path):
+class TestParsePass:
+    def test_parse_files_keeps_discovery_order(self, tmp_path):
+        """Contexts come back in discovery order; a broken file becomes
+        an HL000 error finding instead of a context."""
         for i in range(12):
             (tmp_path / f"m{i:02d}.py").write_text(f"x = {i}\n")
         (tmp_path / "broken.py").write_text("def f(:\n")
-        serial_ctx, serial_err = parse_files([tmp_path], jobs=1)
-        parallel_ctx, parallel_err = parse_files([tmp_path], jobs=4)
-        assert [c.posix for c in serial_ctx] == [c.posix for c in parallel_ctx]
-        assert serial_err == parallel_err
+        contexts, errors = parse_files([tmp_path])
+        assert [c.path for c in contexts] == [
+            p for p in iter_python_files([tmp_path]) if p.name != "broken.py"
+        ]
+        assert [(e.rule, Path(e.path).name, e.details_dict["error"])
+                for e in errors] == [("HL000", "broken.py", "syntax")]
+
+
+_DECIDER = (
+    "import time\n"
+    "from repro.control.governors import Decision\n"
+    "\n"
+    "def decide(x):\n"
+    "    return Decision(x, time.time())\n"
+)
+
+
+class TestRunScopedState:
+    def test_project_rule_does_not_keep_a_previous_runs_project(
+        self, tmp_path
+    ):
+        """A rule instance reused after a run must not judge a file
+        against that run's project, which has no module for it."""
+        decider = tmp_path / "decider.py"
+        decider.write_text(_DECIDER)
+        other = tmp_path / "other.py"
+        other.write_text("x = 1\n")
+        rule = NondeterministicDecisionRule()
+        ctx = parse_file(decider)
+        assert [f.rule for f in rule.check(ctx)] == ["HL010"]
+        assert run_rules([other], [rule]) == []
+        assert [f.rule for f in rule.check(ctx)] == ["HL010"]
+
+    def test_run_releases_project_and_walk_memo(self, tmp_path):
+        class Spy(Rule):
+            id = "HL999"
+            uses_project = True
+
+            def check(self, ctx):
+                self.seen = (ctx.project, ctx.walk())
+                return iter(())
+
+        (tmp_path / "decider.py").write_text(_DECIDER)
+        spy = Spy()
+        (result,), _errors = run_rules_detailed([tmp_path], [spy])
+        project, walked = spy.seen
+        assert project is not None
+        assert result.ctx.project is None
+        # The run's list was dropped: a new walk builds a new one.
+        assert result.ctx.walk() == walked
+        assert result.ctx.walk() is not walked
+
+    def test_walk_is_memoized_in_ast_walk_order(self, tmp_path):
+        p = tmp_path / "m.py"
+        p.write_text(_DECIDER)
+        ctx = parse_file(p)
+        fn = ctx.tree.body[-1]
+        assert ctx.walk(fn) == list(ast.walk(fn))
+        assert ctx.walk(fn) is ctx.walk(fn)
+        assert ctx.walk() == list(ast.walk(ctx.tree))
+        assert ctx.nodes(ast.Call) == [
+            n for n in ast.walk(ctx.tree) if isinstance(n, ast.Call)
+        ]
+
+
+class TestWalkBudget:
+    def test_lint_visits_each_node_a_bounded_number_of_times(
+        self, monkeypatch
+    ):
+        """Rules, index and summaries share one walk per subtree: a
+        whole lint run expands each node at most three times (nested
+        function bodies and return values are walked on their own)."""
+        nodes = sum(
+            len(list(ast.walk(ast.parse(p.read_text()))))
+            for p in iter_python_files([FIXTURES])
+        )
+        visits = 0
+        children = ast.iter_child_nodes
+
+        def counting(node):
+            nonlocal visits
+            visits += 1
+            return children(node)
+
+        monkeypatch.setattr(ast, "iter_child_nodes", counting)
+        findings = lint_paths([FIXTURES], check_suppressions=True)
+        monkeypatch.undo()
+        assert findings
+        assert visits <= 3 * nodes, (
+            f"{visits} node visits for {nodes} nodes "
+            f"({visits / nodes:.1f} per node)"
+        )

@@ -137,6 +137,22 @@ class TestReplayErrors:
         with pytest.raises(TraceFormatError):
             replay_trace("".join(lines[:-2]))
 
+    @pytest.mark.parametrize("meta", [None, "ab", [1]])
+    def test_malformed_header_meta_raises_structured(self, meta):
+        trace, _p, _e = record_zoo("codec", seed=0)
+        trace.header["meta"] = meta
+        with pytest.raises(TraceFormatError) as err:
+            replay_trace(trace)
+        assert err.value.details["section"] == "meta"
+
+    def test_non_string_decision_governor_raises_structured(self):
+        trace, _p, _e = record_zoo("codec", seed=0)
+        decision = decisions_of(trace)[0]
+        decision["governor"] = [1]
+        with pytest.raises(TraceFormatError) as err:
+            replay_trace(trace)
+        assert err.value.details["field"] == "governor"
+
 
 class TestDiffTraces:
     """The record-level differ behind the golden gate's error message."""
