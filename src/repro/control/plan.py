@@ -45,6 +45,7 @@ mechanism (``freeze`` dry-runs coordination, ``off`` disables it).
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -60,6 +61,7 @@ from repro.control.governors import (
     PlacementGovernor,
     PoolTrimGovernor,
 )
+from repro.config_codec import boolean, from_xml, xml
 from repro.control.signals import SignalBuffer, StepObservation
 from repro.errors import ConfigError
 from repro.hamr.allocator import HOST_DEVICE_ID
@@ -87,15 +89,14 @@ class GovernorSetting:
     @classmethod
     def parse(cls, raw: str) -> "GovernorSetting":
         key = str(raw).strip().lower()
-        if key in ("on", "1", "true", "yes"):
-            return cls(enabled=True, frozen=False)
-        if key in ("off", "0", "false", "no"):
-            return cls(enabled=False, frozen=False)
         if key in ("freeze", "frozen", "observe"):
             return cls(enabled=True, frozen=True)
-        raise ConfigError(
-            f"governor setting must be on/off/freeze, got {raw!r}"
-        )
+        try:
+            return cls(enabled=boolean(key), frozen=False)
+        except ValueError:
+            raise ConfigError(
+                f"governor setting must be on/off/freeze, got {raw!r}"
+            ) from None
 
     @property
     def value(self) -> str:
@@ -136,13 +137,17 @@ class ControlConfig:
     #: Let the pool governor *raise* its watermark under trim/refill
     #: churn (and decay it back when quiet) instead of only trimming.
     pool_growth: bool = False
-    flow_bounds: FlowBounds = field(default_factory=FlowBounds)
+    flow_bounds: FlowBounds = field(
+        default_factory=FlowBounds, metadata=xml(child="flow")
+    )
     mode_low: float = 0.05     # hysteresis band on (insitu-copy)/sim
     mode_high: float = 0.15
     codec_margin: float = 1.05  # predicted-cost ratio needed to switch
     overload: float = 1.30     # placement rebalance threshold (x mean)
     pool_watermark_kib: float | None = None
-    coordination: str = "off"  # "node": cross-rank placement rounds
+    coordination: str = field(  # "node": cross-rank placement rounds
+        default="off", metadata=xml(conv=lambda raw: raw.strip().lower())
+    )
     coordination_interval: int = 1  # rounds every N-th decision interval
 
     def __post_init__(self):
@@ -197,105 +202,10 @@ class ControlConfig:
         ``min_chunk``/``max_chunk`` in bytes), bounding the flow
         governor's actuation range.
         """
-        attrs = dict(attrs)
-
-        def _num(key: str, default, conv):
-            raw = attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<control>: attribute {key!r} must be a "
-                    f"{conv.__name__}, got {raw!r}"
-                ) from None
-
-        enabled_raw = attrs.pop("enabled", "1").strip().lower()
-        if enabled_raw in ("1", "true", "yes", "on"):
-            enabled = True
-        elif enabled_raw in ("0", "false", "no", "off"):
-            enabled = False
-        else:
-            raise ConfigError(f"invalid enabled value {enabled_raw!r}")
-        settings = {}
-        for name in ("codec", "execution", "placement", "pool"):
-            raw = attrs.pop(name, None)
-            settings[name] = (
-                GovernorSetting.parse(raw) if raw is not None else _ON
-            )
-        raw_flow = attrs.pop("flow", None)
-        settings["flow"] = (
-            GovernorSetting.parse(raw_flow) if raw_flow is not None else _OFF
+        return from_xml(
+            cls, attrs, "control",
+            () if flow_attrs is None else [ET.Element("flow", dict(flow_attrs))],
         )
-        raw_quota = attrs.pop("quota", None)
-        settings["quota"] = (
-            GovernorSetting.parse(raw_quota) if raw_quota is not None else _OFF
-        )
-        raw_repart = attrs.pop("repartition", None)
-        settings["repartition"] = (
-            GovernorSetting.parse(raw_repart)
-            if raw_repart is not None else _OFF
-        )
-        raw_growth = attrs.pop("pool_growth", "off").strip().lower()
-        if raw_growth in ("1", "true", "yes", "on"):
-            pool_growth = True
-        elif raw_growth in ("0", "false", "no", "off"):
-            pool_growth = False
-        else:
-            raise ConfigError(f"invalid pool_growth value {raw_growth!r}")
-        watermark = _num("pool_watermark_kib", None, float)
-        coordination = attrs.pop("coordination", "off").strip().lower()
-        flow_attrs = dict(flow_attrs) if flow_attrs else {}
-        defaults = FlowBounds()
-
-        def _flow_num(key: str, default: int) -> int:
-            raw = flow_attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<flow>: attribute {key!r} must be an int, got {raw!r}"
-                ) from None
-
-        try:
-            flow_bounds = FlowBounds(
-                min_credits=_flow_num("min_credits", defaults.min_credits),
-                max_credits=_flow_num("max_credits", defaults.max_credits),
-                min_chunk=_flow_num("min_chunk", defaults.min_chunk),
-                max_chunk=_flow_num("max_chunk", defaults.max_chunk),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"<flow>: {exc}") from None
-        if flow_attrs:
-            raise ConfigError(
-                f"<flow>: unknown attribute(s) {sorted(flow_attrs)}"
-            )
-        config = cls(
-            flow_bounds=flow_bounds,
-            enabled=enabled,
-            seed=_num("seed", 0, int),
-            interval=_num("interval", 1, int),
-            window=_num("window", 64, int),
-            mode_low=_num("mode_low", 0.05, float),
-            mode_high=_num("mode_high", 0.15, float),
-            codec_margin=_num("codec_margin", 1.05, float),
-            overload=_num("overload", 1.30, float),
-            repartition_skew=_num("repartition_skew", 1.25, float),
-            repartition_cooldown=_num("repartition_cooldown", 2, int),
-            pool_watermark_kib=watermark,
-            pool_growth=pool_growth,
-            coordination=coordination,
-            coordination_interval=_num("coordination_interval", 1, int),
-            **settings,
-        )
-        if attrs:
-            raise ConfigError(
-                f"<control>: unknown attribute(s) {sorted(attrs)}"
-            )
-        return config
 
 
 def payload_nbytes(data) -> int:
@@ -339,7 +249,7 @@ class ControlPlane:
 
     One plane serves one rank's bridge and/or transport endpoints.
     Attach with :meth:`repro.sensei.bridge.Bridge.attach_control` /
-    :meth:`repro.sensei.intransit.InTransitBridge.attach_control`; the
+    :meth:`repro.service.router.ServiceBridge.attach_control`; the
     taps wire governors lazily on first observation, so attachment
     order does not matter.
 

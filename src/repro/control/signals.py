@@ -1,7 +1,7 @@
 """Per-step observations: the control plane's sensor layer.
 
 Signals are sampled where the work happens — :class:`repro.sensei.bridge.Bridge`
-taps solver/in situ time, :class:`repro.sensei.intransit.InTransitBridge`
+taps solver/in situ time, :class:`repro.service.router.ServiceBridge`
 taps transport counters — and pushed into a bounded
 :class:`SignalBuffer` ring.  Governors read aggregate views (windowed
 means, totals, deltas) rather than raw events, so a burst of steps
@@ -11,7 +11,7 @@ cannot grow memory and a single noisy step cannot flip a knob.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = ["StepObservation", "SignalBuffer"]
@@ -97,12 +97,3 @@ class SignalBuffer:
         """Windowed sum of one numeric field."""
         window = self.last(n if n is not None else len(self._ring))
         return sum(getattr(o, attr) for o in window)
-
-    def as_dicts(self) -> list[dict]:
-        """JSON-ready dump of the window (reporting/debugging aid)."""
-        out = []
-        for o in self._ring:
-            d = {f.name: getattr(o, f.name) for f in fields(o) if f.name != "extras"}
-            d.update(o.extras_dict)
-            out.append(d)
-        return out

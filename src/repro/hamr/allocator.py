@@ -39,10 +39,6 @@ class PMKind(enum.Enum):
     SYCL = "sycl"
     KOKKOS = "kokkos"
 
-    @property
-    def is_device_pm(self) -> bool:
-        return self is not PMKind.HOST
-
 
 class Allocator(enum.Enum):
     """Which PM, and which method within the PM, manages an allocation."""

@@ -17,6 +17,7 @@ from typing import Callable
 from repro.binning.axes import AxisSpec
 from repro.binning.operator import BinRequest
 from repro.binning.reduce import ReductionOp
+from repro.config_codec import convert, finite
 from repro.errors import ConfigError
 from repro.mpi.comm import Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
@@ -46,20 +47,16 @@ def _build_data_binning(cfg: AnalysisConfig) -> AnalysisAdaptor:
     highs = cfg.get_list("high") or [None] * len(axis_names)
     if len(lows) != len(axis_names) or len(highs) != len(axis_names):
         raise ConfigError("data_binning: low/high must match the axis count")
-    axes = []
-    for name, nb, lo, hi in zip(axis_names, bins, lows, highs):
-        try:
-            n_bins = int(nb)
-        except ValueError:
-            raise ConfigError(f"data_binning: bad bin count {nb!r}") from None
-        axes.append(
-            AxisSpec(
-                name,
-                n_bins,
-                float(lo) if lo is not None else None,
-                float(hi) if hi is not None else None,
-            )
+    where = "analysis type='data_binning'"
+    axes = [
+        AxisSpec(
+            name,
+            convert(where, "bins", nb, int),
+            None if lo is None else convert(where, "low", lo, finite),
+            None if hi is None else convert(where, "high", hi, finite),
         )
+        for name, nb, lo, hi in zip(axis_names, bins, lows, highs)
+    ]
     requests = []
     for spec in cfg.get_list("variables"):
         if ":" not in spec:

@@ -46,6 +46,13 @@ the admission-control knobs (``budget``, ``skew``, ``cooldown``,
       <pipeline name="bulk" weight="1" partitioner="cyclic"/>
     </service>
 
+``<transport>``, ``<control>`` and ``<service>`` are read by
+:mod:`repro.config_codec` from their config dataclasses, whose fields
+are the single source of defaults.  Everywhere in the schema a boolean
+takes ``1/0/true/false/yes/no/on/off``, a float must be finite, and an
+unknown attribute, unexpected child, or out-of-range value raises
+:class:`~repro.errors.ConfigError` naming the element.
+
 Common attributes (every ``<analysis>``):
 
 - ``type`` (required) — back-end registry key;
@@ -65,6 +72,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.config_codec import boolean, convert, finite, from_xml
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,28 +109,16 @@ class AnalysisConfig:
             ) from None
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self.attrs.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"analysis type={self.type!r}: attribute {key!r} must be an "
-                f"integer, got {raw!r}"
-            ) from None
+        return self._get(key, default, int)
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
+        return self._get(key, default, finite)
+
+    def _get(self, key: str, default, conv):
         raw = self.attrs.get(key)
         if raw is None:
             return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"analysis type={self.type!r}: attribute {key!r} must be a "
-                f"number, got {raw!r}"
-            ) from None
+        return convert(f"analysis type={self.type!r}", key, raw, conv)
 
     def get_list(self, key: str, default: list[str] | None = None) -> list[str]:
         raw = self.attrs.get(key)
@@ -155,45 +151,26 @@ def parse_document(text: str) -> SenseiConfig:
         raise ConfigError(f"malformed XML: {exc}") from exc
     if root.tag != "sensei":
         raise ConfigError(f"root element must be <sensei>, got <{root.tag}>")
+    from repro.control.plan import ControlConfig
+    from repro.service.plan import ServiceConfig
+    from repro.transport.config import TransportConfig
+
+    planes = {
+        "transport": TransportConfig,
+        "control": ControlConfig,
+        "service": ServiceConfig,
+    }
+    parsed: dict = {}
     configs: list[AnalysisConfig] = []
-    transport = None
-    control = None
-    service = None
     for child in root:
-        if child.tag == "transport":
-            if transport is not None:
-                raise ConfigError("at most one <transport> element is allowed")
-            from repro.transport.config import TransportConfig
-
-            transport = TransportConfig.from_xml_attrs(child.attrib)
-            continue
-        if child.tag == "control":
-            if control is not None:
-                raise ConfigError("at most one <control> element is allowed")
-            from repro.control.plan import ControlConfig
-
-            flow_attrs = None
-            for sub in child:
-                if sub.tag != "flow":
-                    raise ConfigError(
-                        f"unexpected element <{sub.tag}> inside <control>; "
-                        "only <flow> is allowed"
-                    )
-                if flow_attrs is not None:
-                    raise ConfigError(
-                        "at most one <flow> element is allowed"
-                    )
-                flow_attrs = dict(sub.attrib)
-            control = ControlConfig.from_xml_attrs(
-                child.attrib, flow_attrs=flow_attrs
+        if child.tag in planes:
+            if child.tag in parsed:
+                raise ConfigError(
+                    f"at most one <{child.tag}> element is allowed"
+                )
+            parsed[child.tag] = from_xml(
+                planes[child.tag], child.attrib, child.tag, child
             )
-            continue
-        if child.tag == "service":
-            if service is not None:
-                raise ConfigError("at most one <service> element is allowed")
-            from repro.service.plan import ServiceConfig
-
-            service = ServiceConfig.from_xml_element(child)
             continue
         if child.tag != "analysis":
             raise ConfigError(
@@ -204,18 +181,11 @@ def parse_document(text: str) -> SenseiConfig:
         atype = attrs.pop("type", None)
         if not atype:
             raise ConfigError("<analysis> element missing the 'type' attribute")
-        enabled_raw = attrs.pop("enabled", "1").strip().lower()
-        if enabled_raw in ("1", "true", "yes", "on"):
-            enabled = True
-        elif enabled_raw in ("0", "false", "no", "off"):
-            enabled = False
-        else:
-            raise ConfigError(f"invalid enabled value {enabled_raw!r}")
+        enabled = convert(
+            "analysis", "enabled", attrs.pop("enabled", "1"), boolean
+        )
         configs.append(AnalysisConfig(type=atype, enabled=enabled, attrs=attrs))
-    return SenseiConfig(
-        analyses=tuple(configs), transport=transport, control=control,
-        service=service,
-    )
+    return SenseiConfig(analyses=tuple(configs), **parsed)
 
 
 def parse_xml(text: str) -> list[AnalysisConfig]:

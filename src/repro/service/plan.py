@@ -25,8 +25,8 @@ Configuration is the ``<service>`` element, parsed through the same
       ...
     </sensei>
 
-Unknown ``<pipeline>`` attributes are handed to
-:meth:`repro.transport.config.TransportConfig.from_xml_attrs`, so each
+Every other ``<pipeline>`` attribute (``partitioner`` included) goes to
+the tenant's :class:`~repro.transport.config.TransportConfig`, so each
 tenant tunes its wire (codec, chunking, retry, faults) exactly like a
 standalone ``<transport>`` element.
 """
@@ -37,6 +37,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from repro.config_codec import from_xml, int_list, xml
 from repro.errors import ConfigError
 from repro.transport.channel import ACK_TAG, DATA_TAG
 from repro.transport.config import TransportConfig
@@ -89,11 +90,19 @@ class PipelineSpec:
     mesh: str = ""
     weight: float = 1.0
     shard_size: int = 1
-    partitioner: str = "block"
-    producer_weights: tuple[float, ...] | None = None
-    ranks: tuple[int, ...] | None = None
+    # Also read by ``transport``, which validates it.
+    partitioner: str = field(default="block", metadata=xml(shared=True))
+    producer_weights: tuple[float, ...] | None = field(
+        default=None, metadata=xml(skip=True)
+    )
+    ranks: tuple[int, ...] | None = field(
+        default=None, metadata=xml(conv=int_list)
+    )
     collective: bool = False
-    transport: TransportConfig = field(default_factory=TransportConfig)
+    # Every other ``<pipeline>`` attribute tunes this tenant's wire.
+    transport: TransportConfig = field(
+        default_factory=TransportConfig, metadata=xml(rest=True)
+    )
 
     def __post_init__(self):
         if not self.name or ":" in self.name:
@@ -148,7 +157,9 @@ class ServiceConfig:
     is the coordination cadence in steps.
     """
 
-    pipelines: tuple[PipelineSpec, ...]
+    pipelines: tuple[PipelineSpec, ...] = field(
+        metadata=xml(child="pipeline")
+    )
     budget: int = 32
     min_credits: int = 1
     skew: float = 1.5
@@ -211,100 +222,7 @@ class ServiceConfig:
     @classmethod
     def from_xml_element(cls, elem: ET.Element) -> "ServiceConfig":
         """Parse a ``<service>`` element (nested ``<pipeline>`` children)."""
-        attrs = dict(elem.attrib)
-
-        def _num(key: str, default, conv):
-            raw = attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<service>: attribute {key!r} must be a "
-                    f"{conv.__name__}, got {raw!r}"
-                ) from None
-
-        budget = _num("budget", 32, int)
-        min_credits = _num("min_credits", 1, int)
-        skew = _num("skew", 1.5, float)
-        cooldown = _num("cooldown", 2, int)
-        interval = _num("interval", 4, int)
-        if attrs:
-            raise ConfigError(
-                f"<service>: unknown attribute(s) {sorted(attrs)}"
-            )
-        pipelines = []
-        for child in elem:
-            if child.tag != "pipeline":
-                raise ConfigError(
-                    f"unexpected element <{child.tag}> inside <service>; "
-                    "only <pipeline> is allowed"
-                )
-            pipelines.append(cls._parse_pipeline(child.attrib))
-        return cls(
-            pipelines=tuple(pipelines),
-            budget=budget,
-            min_credits=min_credits,
-            skew=skew,
-            cooldown=cooldown,
-            interval=interval,
-        )
-
-    @staticmethod
-    def _parse_pipeline(raw_attrs: Mapping[str, str]) -> PipelineSpec:
-        attrs = dict(raw_attrs)
-        name = attrs.pop("name", None)
-        if not name:
-            raise ConfigError("<pipeline> element missing the 'name' attribute")
-        mesh = attrs.pop("mesh", "")
-
-        def _num(key: str, default, conv):
-            raw = attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<pipeline name={name!r}>: attribute {key!r} must be "
-                    f"a {conv.__name__}, got {raw!r}"
-                ) from None
-
-        weight = _num("weight", 1.0, float)
-        shard_size = _num("shard_size", 1, int)
-        raw_collective = attrs.pop("collective", "false").strip().lower()
-        if raw_collective not in ("true", "false", "1", "0"):
-            raise ConfigError(
-                f"<pipeline name={name!r}>: 'collective' must be a "
-                f"boolean, got {raw_collective!r}"
-            )
-        collective = raw_collective in ("true", "1")
-        ranks_raw = attrs.pop("ranks", None)
-        ranks = None
-        if ranks_raw is not None:
-            try:
-                ranks = tuple(
-                    int(r) for r in ranks_raw.split(",") if r.strip()
-                )
-            except ValueError:
-                raise ConfigError(
-                    f"<pipeline name={name!r}>: 'ranks' must be a "
-                    f"comma-separated rank list, got {ranks_raw!r}"
-                ) from None
-        # Everything left is transport configuration for this tenant
-        # (including 'partitioner', which TransportConfig validates).
-        transport = TransportConfig.from_xml_attrs(attrs)
-        return PipelineSpec(
-            name=name,
-            mesh=mesh,
-            weight=weight,
-            shard_size=shard_size,
-            partitioner=transport.partitioner,
-            ranks=ranks,
-            collective=collective,
-            transport=transport,
-        )
+        return from_xml(cls, elem.attrib, "service", elem)
 
 
 class PipelineRegistry:

@@ -190,12 +190,13 @@ class Router:
 class ServiceBridge:
     """The simulation-side bridge of the multi-pipeline service.
 
-    Drop-in for :class:`repro.sensei.intransit.InTransitBridge` when
-    the service carries one pipeline, and the multi-tenant superset
-    otherwise.  Every producer must call :meth:`execute` for the same
-    sequence of time steps (ship nothing for a pipeline by simply not
-    publishing its mesh) — the coordination round is a collective over
-    the producer group, so cadences must align.
+    With one pipeline it is the bridge
+    :func:`repro.sensei.intransit.run_in_transit` hands each producer,
+    and the multi-tenant superset otherwise.  Every producer must call
+    :meth:`execute` for the same sequence of time steps (ship nothing
+    for a pipeline by simply not publishing its mesh) — the
+    coordination round is a collective over the producer group, so
+    cadences must align.
     """
 
     def __init__(

@@ -122,11 +122,10 @@ class StepMerger:
 class ServiceEndpoint:
     """One endpoint rank: receives, merges, and analyzes every tenant.
 
-    Keeps the reporting surface of
-    :class:`repro.sensei.intransit.EndpointRunner` when the service
-    carries a single pipeline (``receivers``, ``analyses``,
-    ``producers``, ``steps_processed``), so the legacy in-transit path
-    is a strict subset.
+    With a single pipeline (the
+    :func:`repro.sensei.intransit.run_in_transit` case) its reporting
+    surface — ``receivers``, ``analyses``, ``producers``,
+    ``steps_processed`` — is keyed as a one-tenant endpoint's would be.
     """
 
     def __init__(
@@ -211,9 +210,8 @@ class ServiceEndpoint:
     @property
     def receivers(self) -> dict:
         """Per-flow receivers.  With a single pipeline, keyed by
-        producer rank over the initial members — the legacy
-        EndpointRunner surface; keyed ``(pipeline, producer)`` over
-        every flow otherwise."""
+        producer rank over the initial members; keyed
+        ``(pipeline, producer)`` over every flow otherwise."""
         if self._single is not None:
             return {
                 p: self._receivers[(self._single, p)]

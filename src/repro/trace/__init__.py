@@ -13,8 +13,6 @@ up as a byte diff.
 
 - :mod:`repro.trace.format` — the canonical record schema and the
   :class:`Trace` container;
-- :mod:`repro.trace.configs` — round-trip config (de)serialization
-  for the trace header;
 - :mod:`repro.trace.recorder` — the ``run_service(recorder=...)`` tap;
 - :mod:`repro.trace.replayer` — scripted replay + re-record;
 - :mod:`repro.trace.harness` — the shared rerun/canonicalization

@@ -31,13 +31,9 @@ from __future__ import annotations
 
 import threading
 
+from repro.config_codec import to_dict
 from repro.hamr.runtime import current_clock
 from repro.svtk.table import TableData
-from repro.trace.configs import (
-    encode_control,
-    encode_cost,
-    encode_service,
-)
 from repro.trace.format import (
     TRACE_VERSION,
     Trace,
@@ -180,9 +176,9 @@ class TraceRecorder:
         self._topology = {
             "m": int(m),
             "n": int(n),
-            "service": encode_service(config),
-            "cost": None if cost is None else encode_cost(cost),
-            "control": None if control is None else encode_control(control),
+            "service": to_dict(config),
+            "cost": None if cost is None else to_dict(cost),
+            "control": None if control is None else to_dict(control),
         }
 
     def bind(self, rank: int, bridge):

@@ -1,9 +1,9 @@
 """Trace replay: feed a recorded run back through the live service.
 
 :func:`replay_trace` reconstructs the recorded run's configuration
-from the trace header (via :mod:`repro.trace.configs`), then launches
-``run_service`` with a *scripted* producer: each producer rank walks
-its recorded event stream in ``seq`` order, restores the recorded
+from the trace header (via :func:`repro.config_codec.from_dict`), then
+launches ``run_service`` with a *scripted* producer: each producer
+rank walks its recorded event stream in ``seq`` order, restores the recorded
 publish cadence with ``clock.wait_for(entry)`` (exact — the recorder
 stores absolute simulated entry times, not gaps), rebuilds each
 published table bit-exactly from the recorded column bytes, and
@@ -26,11 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import TraceFormatError
+from repro.config_codec import from_dict
+from repro.control.plan import ControlConfig
+from repro.errors import ConfigError, TraceFormatError
 from repro.hamr.runtime import current_clock
+from repro.mpi.comm import CommCostModel
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import TableDataAdaptor
-from repro.trace.configs import decode_control, decode_cost, decode_service
+from repro.service.plan import ServiceConfig
 from repro.trace.format import Trace, decode_table
 from repro.trace.recorder import TraceRecorder
 
@@ -139,6 +142,20 @@ def _producer_scripts(trace: Trace, m: int) -> dict[int, list]:
     return scripts
 
 
+def _config(header: dict, section: str, cls, optional: bool = True):
+    """One header config section, decoded; absent optional ones are None."""
+    payload = header.get(section)
+    if payload is None and optional:
+        return None
+    try:
+        return from_dict(cls, payload)
+    except ConfigError as exc:
+        raise TraceFormatError(
+            f"trace header carries an invalid {section} config: {exc}",
+            details={"section": section},
+        ) from exc
+
+
 def replay_trace(trace, registry=None) -> ReplayResult:
     """Replay a recorded trace and re-record it (the fixpoint check).
 
@@ -150,9 +167,9 @@ def replay_trace(trace, registry=None) -> ReplayResult:
     if isinstance(trace, str):
         trace = Trace.from_jsonl(trace)
     header = trace.header
-    config = decode_service(header["service"])
-    cost = decode_cost(header.get("cost"))
-    control = decode_control(header.get("control"))
+    config = _config(header, "service", ServiceConfig, optional=False)
+    cost = _config(header, "cost", CommCostModel)
+    control = _config(header, "control", ControlConfig)
     try:
         m, n = int(header["m"]), int(header["n"])
         if m < 1 or n < 1:

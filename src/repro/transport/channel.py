@@ -38,15 +38,17 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.config_codec import xml
 from repro.errors import TransportError
 from repro.hamr.runtime import current_clock
 from repro.hw.clock import EventCategory, Timeline
 from repro.transport.flow import CreditWindow
 from repro.transport.metrics import TransportMetrics, new_transport_timeline
 from repro.transport.wire import Chunk, StepAssembler, encode_step, get_codec
+from repro.units import KiB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.comm import Communicator
@@ -91,7 +93,9 @@ class FaultSpec:
     reorder: float = 0.0
     corrupt: float = 0.0
     seed: int = 0
-    congestion_bytes: int = 0
+    congestion_bytes: int = field(
+        default=0, metadata=xml(names={"congestion_kib": KiB})
+    )
     congestion_drop: float = 0.0
 
     def __post_init__(self):

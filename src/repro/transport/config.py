@@ -16,6 +16,13 @@ probabilities applied to the data direction only — they exist so a
 configuration can rehearse lossy-fabric behaviour without code
 changes.
 
+:mod:`repro.config_codec` reads the element; the dataclass fields are
+the single source of defaults.  ``retries`` and the fault attributes
+fill the flattened ``RetryPolicy``/``FaultSpec``; ``chunk_kib`` and
+``congestion_kib`` give byte fields in KiB.  Booleans take
+``1/0/true/false/yes/no/on/off``, floats must be finite, and a value
+out of range raises :class:`~repro.errors.ConfigError`.
+
 ``compression`` accepts any registered codec name, or ``"adaptive"``
 to delegate the choice to the control plane's per-endpoint codec
 governor (see :mod:`repro.control`): the sender starts uncompressed
@@ -28,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+from repro.config_codec import from_xml, xml
 from repro.errors import ConfigError
 from repro.transport.channel import FaultSpec
 from repro.transport.partition import available_partitioners
@@ -43,11 +51,18 @@ class TransportConfig:
     """Everything the transport plane needs for one run."""
 
     compression: str = "none"
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES
+    chunk_bytes: int = field(
+        default=DEFAULT_CHUNK_BYTES,
+        metadata=xml(names={"chunk_kib": KiB, "chunk_bytes": 1}),
+    )
     max_inflight: int = 8
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    retry: RetryPolicy = field(
+        default_factory=RetryPolicy, metadata=xml(flatten=True)
+    )
     partitioner: str = "block"
-    faults: FaultSpec = field(default_factory=FaultSpec)
+    faults: FaultSpec = field(
+        default_factory=FaultSpec, metadata=xml(flatten=True)
+    )
     recv_timeout: float = 60.0  # wall-clock patience of a receiver
     #: Pipelined wire-cost model: the sender charges each chunk
     #: ``latency / in_flight + bytes / bandwidth``, so a deeper credit
@@ -100,60 +115,4 @@ class TransportConfig:
     @classmethod
     def from_xml_attrs(cls, attrs: Mapping[str, str]) -> "TransportConfig":
         """Build a config from a ``<transport>`` element's attributes."""
-        attrs = dict(attrs)
-
-        def _num(key: str, default, conv):
-            raw = attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<transport>: attribute {key!r} must be a "
-                    f"{conv.__name__}, got {raw!r}"
-                ) from None
-
-        compression = attrs.pop("compression", "none")
-        chunk_kib = _num("chunk_kib", None, float)
-        chunk_bytes = (
-            int(chunk_kib * KiB) if chunk_kib is not None
-            else _num("chunk_bytes", DEFAULT_CHUNK_BYTES, int)
-        )
-        max_inflight = _num("max_inflight", 8, int)
-        retry = RetryPolicy(
-            max_retries=_num("retries", 8, int),
-            ack_timeout=_num("ack_timeout", 0.05, float),
-        )
-        faults = FaultSpec(
-            drop=_num("drop", 0.0, float),
-            duplicate=_num("duplicate", 0.0, float),
-            reorder=_num("reorder", 0.0, float),
-            corrupt=_num("corrupt", 0.0, float),
-            seed=_num("seed", 0, int),
-            congestion_bytes=int(_num("congestion_kib", 0.0, float) * KiB),
-            congestion_drop=_num("congestion_drop", 0.0, float),
-        )
-        partitioner = attrs.pop("partitioner", "block")
-        recv_timeout = _num("recv_timeout", 60.0, float)
-        raw_pipelined = attrs.pop("pipelined", "false").strip().lower()
-        if raw_pipelined not in ("true", "false", "1", "0"):
-            raise ConfigError(
-                f"<transport>: attribute 'pipelined' must be a boolean, "
-                f"got {raw_pipelined!r}"
-            )
-        pipelined = raw_pipelined in ("true", "1")
-        if attrs:
-            raise ConfigError(
-                f"<transport>: unknown attribute(s) {sorted(attrs)}"
-            )
-        return cls(
-            compression=compression,
-            chunk_bytes=chunk_bytes,
-            max_inflight=max_inflight,
-            retry=retry,
-            partitioner=partitioner,
-            faults=faults,
-            recv_timeout=recv_timeout,
-            pipelined=pipelined,
-        )
+        return from_xml(cls, attrs, "transport")

@@ -20,24 +20,29 @@ The policy separates two time bases on purpose:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.config_codec import xml
 from repro.errors import TransportError
 from repro.units import us
 
 __all__ = ["RetryPolicy"]
+
+_NO_XML = xml(skip=True)
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """How hard delivery tries before giving up."""
 
-    max_retries: int = 8
+    max_retries: int = field(default=8, metadata=xml(names={"retries": 1}))
     ack_timeout: float = 0.05  # wall-clock stall guard per attempt
-    backoff_base: float = us(50.0)  # simulated seconds, first retry
-    backoff_factor: float = 2.0
-    backoff_max: float = us(5000.0)
-    jitter: float = 0.25  # +/- fraction applied to each backoff
+    # The backoff curve is not an XML attribute.  Simulated seconds,
+    # first retry; jitter is the +/- fraction applied to each backoff.
+    backoff_base: float = field(default=us(50.0), metadata=_NO_XML)
+    backoff_factor: float = field(default=2.0, metadata=_NO_XML)
+    backoff_max: float = field(default=us(5000.0), metadata=_NO_XML)
+    jitter: float = field(default=0.25, metadata=_NO_XML)
 
     def __post_init__(self):
         if self.max_retries < 0:

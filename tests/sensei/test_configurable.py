@@ -168,6 +168,19 @@ class TestConfigurableAnalysis:
                          axes="x" bins="4" variables="mass"/></sensei>
             """)
 
+    @pytest.mark.parametrize("attrs,name", [
+        ("bins='x'", "bins"),
+        ("bins='4' low='abc'", "low"),
+        ("bins='4' high='nan'", "high"),
+        ("bins='4' low='inf'", "low"),
+    ])
+    def test_bad_binning_axis_numbers_are_config_errors(self, attrs, name):
+        with pytest.raises(ConfigError, match=f"attribute {name}="):
+            ConfigurableAnalysis(
+                xml=f"<sensei><analysis type='data_binning' mesh='m' "
+                f"axes='x' variables='mass:sum' {attrs}/></sensei>"
+            )
+
     def test_binning_strategy_attribute(self):
         from repro.binning.strategies import BinningStrategy
 

@@ -14,12 +14,9 @@ from repro.newton.adaptor import NewtonDataAdaptor
 from repro.newton.solver import NewtonSolver, SolverConfig
 from repro.sensei.backends.binning import BinningAnalysis
 from repro.sensei.data_adaptor import TableDataAdaptor
-from repro.sensei.intransit import (
-    EndpointRunner,
-    InTransitBridge,
-    InTransitLayout,
-    run_in_transit,
-)
+from repro.sensei.intransit import InTransitLayout, run_in_transit
+from repro.service.plan import PipelineSpec, ServiceConfig
+from repro.service.router import ServiceBridge
 from repro.svtk.table import TableData
 
 
@@ -287,7 +284,7 @@ class TestInTransitRun:
             run_in_transit(layout, producer_main, _binning_factory())
 
     def test_bridge_misuse(self):
-        layout = InTransitLayout(m=1, n=1)
-        bridge = InTransitBridge(layout)
-        with pytest.raises(ExecutionError):
+        config = ServiceConfig(pipelines=(PipelineSpec(name="bodies"),))
+        bridge = ServiceBridge(config, m=1, n=1)
+        with pytest.raises(ExecutionError, match="initialize"):
             bridge.execute(object())  # not initialized

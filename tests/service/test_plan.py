@@ -162,6 +162,14 @@ class TestServiceXml:
                 "</service></sensei>"
             )
 
+    @pytest.mark.parametrize("word", ["true", "1", "yes", "on"])
+    def test_collective_boolean_vocabulary(self, word):
+        doc = parse_document(
+            f"<sensei><service><pipeline name='a' collective='{word}'/>"
+            "</service></sensei>"
+        )
+        assert doc.service.spec("a").collective
+
     def test_ranks_attribute(self):
         doc = parse_document(
             "<sensei><service><pipeline name='a' ranks='2,0'/>"

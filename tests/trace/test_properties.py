@@ -18,18 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config_codec import from_dict, to_dict
+from repro.control.plan import ControlConfig
 from repro.errors import TraceError, TraceFormatError
+from repro.mpi.comm import CommCostModel
+from repro.service.plan import ServiceConfig
 from repro.trace import Trace, replay_trace
-from repro.trace.configs import (
-    decode_control,
-    decode_cost,
-    decode_service,
-    decode_transport,
-    encode_control,
-    encode_cost,
-    encode_service,
-    encode_transport,
-)
 from repro.trace.format import canonical_float
 from repro.workloads.zoo import record_zoo
 
@@ -69,12 +63,15 @@ class TestConfigRoundTrips:
 
         for name in ("newton", "request-stream", "flow"):
             entry = zoo_entry(name, seed=3)
-            payload = encode_service(entry["config"])
-            assert encode_service(decode_service(payload)) == payload
-            control = encode_control(entry.get("control"))
-            assert encode_control(decode_control(control)) == control
-            cost = encode_cost(entry.get("cost"))
-            assert encode_cost(decode_cost(cost)) == cost
+            for cls, config in (
+                (ServiceConfig, entry["config"]),
+                (ControlConfig, entry.get("control")),
+                (CommCostModel, entry.get("cost")),
+            ):
+                if config is None:
+                    continue
+                payload = to_dict(config)
+                assert to_dict(from_dict(cls, payload)) == payload
 
     def test_transport_roundtrip_preserves_faults(self):
         from repro.transport.config import TransportConfig
@@ -83,16 +80,19 @@ class TestConfigRoundTrips:
             drop=0.1, duplicate=0.05, seed=42,
             congestion_bytes=4096, congestion_drop=0.25,
         )
-        payload = encode_transport(t)
-        back = decode_transport(payload)
-        assert encode_transport(back) == payload
+        payload = to_dict(t)
+        back = from_dict(TransportConfig, payload)
+        assert to_dict(back) == payload
         assert back.faults.drop == t.faults.drop
         assert back.faults.seed == t.faults.seed
 
     def test_bad_section_is_structured(self):
+        trace = record_zoo("codec", seed=0)[0]
+        trace.header["service"]["pipelines"][0]["transport"]["retry"] = "nope"
         with pytest.raises(TraceFormatError) as err:
-            decode_transport({"compression": "zlib", "retry": "nope"})
-        assert err.value.details["section"] == "transport"
+            replay_trace(trace)
+        assert err.value.details["section"] == "service"
+        assert "transport.retry" in str(err.value)
 
 
 def _valid_lines():

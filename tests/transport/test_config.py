@@ -80,6 +80,31 @@ class TestFromXmlAttrs:
         with pytest.raises(ConfigError):
             TransportConfig.from_xml_attrs({"max_inflight": "many"})
 
+    @pytest.mark.parametrize("attrs", [
+        {"drop": "1.5"},
+        {"retries": "-1"},
+        {"ack_timeout": "0"},
+        {"chunk_kib": "nan"},
+        {"congestion_kib": "-1"},
+    ])
+    def test_out_of_range_is_config_error(self, attrs):
+        # The nested RetryPolicy/FaultSpec raise TransportError and the
+        # KiB scaling a bare ValueError; XML readers see ConfigError.
+        with pytest.raises(ConfigError, match="<transport>"):
+            TransportConfig.from_xml_attrs(attrs)
+
+    @pytest.mark.parametrize("word,expected", [
+        ("true", True), ("1", True), ("yes", True), ("On", True),
+        ("false", False), ("0", False), ("no", False), ("off", False),
+    ])
+    def test_pipelined_boolean_vocabulary(self, word, expected):
+        cfg = TransportConfig.from_xml_attrs({"pipelined": word})
+        assert cfg.pipelined is expected
+
+    def test_bad_pipelined_rejected(self):
+        with pytest.raises(ConfigError, match="pipelined"):
+            TransportConfig.from_xml_attrs({"pipelined": "maybe"})
+
 
 class TestXmlDocument:
     XML = """
